@@ -39,7 +39,7 @@ int main() {
     sparql::Executor::Options opts;
     opts.reasoning = false;
     const double rewritten_ms = bench::MedianMillis([&] {
-      sparql::Executor executor(&db.store(), opts);
+      sparql::Executor executor(db.snapshot(), opts);
       const auto r = executor.ExecuteEncoded(expanded.value());
       SEDGE_CHECK(r.ok());
     });

@@ -134,7 +134,7 @@ class QueryBench {
     SEDGE_CHECK(parsed.ok()) << parsed.status().ToString();
     sparql::Executor::Options opts;
     opts.reasoning = reasoning;
-    sparql::Executor executor(&sedge_.store(), opts);
+    sparql::Executor executor(sedge_.snapshot(), opts);
     uint64_t n = 0;
     const double ms = MedianMillis([&] {
       const auto result = executor.ExecuteEncoded(parsed.value());

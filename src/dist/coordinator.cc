@@ -4,12 +4,10 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "rdf/rdf_parser.h"
-#include "rdf/vocabulary.h"
-#include "sparql/expression.h"
+#include "sparql/operators.h"
 #include "sparql/sparql_parser.h"
 #include "util/logging.h"
 
@@ -17,81 +15,17 @@ namespace sedge::dist {
 
 namespace {
 
+using sparql::BindingTable;
 using sparql::Variable;
 using store::EncodedTerm;
 using store::ValueSpace;
 
-/// Variables of `a` (in a's order) that also occur in `b`.
-std::vector<Variable> CommonVars(const std::vector<Variable>& a,
-                                 const std::vector<Variable>& b) {
-  std::vector<Variable> common;
-  for (const Variable& v : a) {
-    for (const Variable& w : b) {
-      if (v == w) {
-        common.push_back(v);
-        break;
-      }
-    }
-  }
-  return common;
-}
-
-/// Byte-exact hash key of a row restricted to `cols`. Global ids are
-/// content-interned, so gid equality is term equality — and kUnboundGid
-/// is itself a distinct value, preserving the executor's
-/// unbound-joins-unbound semantics. An empty `cols` yields the empty key
-/// (single bucket: cartesian product), also mirroring the executor.
-std::string RowKey(const std::vector<uint64_t>& row,
-                   const std::vector<int>& cols) {
-  std::string key;
-  key.reserve(cols.size() * sizeof(uint64_t));
-  for (const int c : cols) {
-    const uint64_t v = row[static_cast<size_t>(c)];
-    key.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  }
-  return key;
-}
-
-int CompareAt(const std::vector<uint64_t>& a, const std::vector<int>& acols,
-              const std::vector<uint64_t>& b, const std::vector<int>& bcols) {
-  for (size_t k = 0; k < acols.size(); ++k) {
-    const uint64_t av = a[static_cast<size_t>(acols[k])];
-    const uint64_t bv = b[static_cast<size_t>(bcols[k])];
-    if (av != bv) return av < bv ? -1 : 1;
-  }
-  return 0;
-}
-
 }  // namespace
-
-// ------------------------------------------------------------ GlobalTable
-
-int Coordinator::GlobalTable::IndexOf(const Variable& v) const {
-  for (size_t i = 0; i < vars.size(); ++i) {
-    if (vars[i] == v) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-int Coordinator::GlobalTable::AddVar(const Variable& v) {
-  const int existing = IndexOf(v);
-  if (existing >= 0) return existing;
-  vars.push_back(v);
-  for (auto& row : rows) row.push_back(TermMap::kUnboundGid);
-  return static_cast<int>(vars.size()) - 1;
-}
-
-Coordinator::GlobalTable Coordinator::GlobalTable::Unit() {
-  GlobalTable t;
-  t.rows.push_back({});
-  return t;
-}
 
 // ----------------------------------------------------------- GlobalDecoder
 
-/// sparql::ValueDecoder over global ids: residual FILTER/BIND expressions
-/// evaluate against EncodedTerm{kInstance, gid} wrappers, materializing
-/// terms through the coordinator's dictionary.
+/// sparql::ValueDecoder over {kInstance, gid} cells, materializing terms
+/// through the coordinator's dictionary.
 class Coordinator::GlobalDecoder : public sparql::ValueDecoder {
  public:
   explicit GlobalDecoder(const TermMap* map) : map_(map) {}
@@ -140,7 +74,6 @@ Coordinator::Coordinator(CoordinatorOptions options)
   met_.pushed_filters_total = metrics_.GetCounter("dist_pushed_filters_total");
   met_.type_pushdowns_total = metrics_.GetCounter("dist_type_pushdowns_total");
   met_.join_hash_total = metrics_.GetCounter("dist_join_hash_total");
-  met_.join_merge_total = metrics_.GetCounter("dist_join_merge_total");
   met_.union_dedup_rows_total =
       metrics_.GetCounter("dist_union_dedup_rows_total");
   met_.inserts_routed_total = metrics_.GetCounter("dist_inserts_routed_total");
@@ -395,34 +328,9 @@ Coordinator::ShardPins Coordinator::PinShards() const {
   return pins;
 }
 
-namespace {
-
-/// Sorts `t` lexicographically by `keys` (remaining columns break ties so
-/// the order is total and deterministic) and marks merge eligibility.
-void SortTableBy(Coordinator::GlobalTable* t,
-                 const std::vector<Variable>& keys) {
-  std::vector<int> cols;
-  cols.reserve(t->vars.size());
-  for (const Variable& v : keys) cols.push_back(t->IndexOf(v));
-  for (size_t i = 0; i < t->vars.size(); ++i) {
-    const int c = static_cast<int>(i);
-    if (std::find(cols.begin(), cols.end(), c) == cols.end()) {
-      cols.push_back(c);
-    }
-  }
-  std::sort(t->rows.begin(), t->rows.end(),
-            [&cols](const std::vector<uint64_t>& a,
-                    const std::vector<uint64_t>& b) {
-              return CompareAt(a, cols, b, cols) < 0;
-            });
-  t->sorted_by = keys;
-}
-
-}  // namespace
-
-Result<Coordinator::GlobalTable> Coordinator::FanOutSubquery(
+Result<BindingTable> Coordinator::FanOutSubquery(
     const ShardSubquery& sub, const ShardPins& pins) const {
-  GlobalTable out;
+  BindingTable out;
   out.vars = sub.vars;
   const sparql::Executor::Options options = exec_options();
   // With a cloud base shard a triple can live on two shards, so a whole
@@ -433,113 +341,42 @@ Result<Coordinator::GlobalTable> Coordinator::FanOutSubquery(
   // each triple once.) Pure routing places each triple on one shard only
   // — concatenation is already exact there.
   const bool dedupe = partitioner_.cloud_shard() >= 0;
-  std::set<std::vector<uint64_t>> seen;
+  std::set<std::vector<EncodedTerm>> seen;
   for (size_t s = 0; s < pins.size(); ++s) {
     const auto& pin = pins[s];
     if (pin == nullptr) continue;  // shard has no data yet
     sparql::Executor executor(pin, options);
-    SEDGE_ASSIGN_OR_RETURN(sparql::BindingTable table,
+    SEDGE_ASSIGN_OR_RETURN(BindingTable table,
                            executor.ExecuteEncoded(sub.query));
     met_.subqueries_total->Increment();
     shards_[s]->AccumulateQueryStats(executor);
     const uint64_t gen = pin->number();
     const store::TripleStore& store = pin->store();
-    for (const auto& row : table.rows) {
-      std::vector<uint64_t> grow(row.size());
-      for (size_t c = 0; c < row.size(); ++c) {
-        grow[c] =
-            term_map_.MapShardValue(static_cast<int>(s), gen, store, row[c]);
+    for (auto& row : table.rows) {
+      for (EncodedTerm& cell : row) {
+        if (cell.space == ValueSpace::kUnbound) continue;
+        cell = {ValueSpace::kInstance,
+                term_map_.MapShardValue(static_cast<int>(s), gen, store,
+                                        cell)};
       }
-      if (dedupe && !seen.insert(grow).second) {
+      if (dedupe && !seen.insert(row).second) {
         met_.union_dedup_rows_total->Increment();
         continue;
       }
-      out.rows.push_back(std::move(grow));
+      out.rows.push_back(std::move(row));
     }
   }
   return out;
 }
 
-Coordinator::GlobalTable Coordinator::JoinPair(GlobalTable left,
-                                               GlobalTable right) const {
-  const std::vector<Variable> common = CommonVars(left.vars, right.vars);
-  std::vector<int> lcols;
-  std::vector<int> rcols;
-  for (const Variable& v : common) {
-    lcols.push_back(left.IndexOf(v));
-    rcols.push_back(right.IndexOf(v));
-  }
-  std::vector<size_t> right_extra;
-  for (size_t i = 0; i < right.vars.size(); ++i) {
-    if (left.IndexOf(right.vars[i]) < 0) right_extra.push_back(i);
-  }
-  GlobalTable out;
-  out.vars = left.vars;
-  for (const size_t c : right_extra) out.vars.push_back(right.vars[c]);
-
-  if (!common.empty() && left.sorted_by == common &&
-      right.sorted_by == common) {
-    // Merge path: both inputs sorted on exactly the join variables.
-    met_.join_merge_total->Increment();
-    size_t i = 0;
-    size_t j = 0;
-    while (i < left.rows.size() && j < right.rows.size()) {
-      const int c = CompareAt(left.rows[i], lcols, right.rows[j], rcols);
-      if (c < 0) {
-        ++i;
-      } else if (c > 0) {
-        ++j;
-      } else {
-        size_t i2 = i + 1;
-        while (i2 < left.rows.size() &&
-               CompareAt(left.rows[i2], lcols, left.rows[i], lcols) == 0) {
-          ++i2;
-        }
-        size_t j2 = j + 1;
-        while (j2 < right.rows.size() &&
-               CompareAt(right.rows[j2], rcols, right.rows[j], rcols) == 0) {
-          ++j2;
-        }
-        for (size_t a = i; a < i2; ++a) {
-          for (size_t b = j; b < j2; ++b) {
-            std::vector<uint64_t> merged = left.rows[a];
-            for (const size_t c2 : right_extra) {
-              merged.push_back(right.rows[b][c2]);
-            }
-            out.rows.push_back(std::move(merged));
-          }
-        }
-        i = i2;
-        j = j2;
-      }
-    }
-    out.sorted_by = common;
-    return out;
-  }
-
-  // Hash path (mirrors Executor::JoinTables: empty shared key joins
-  // everything — the cartesian product).
-  met_.join_hash_total->Increment();
-  std::unordered_map<std::string, std::vector<size_t>> index;
-  for (size_t j = 0; j < right.rows.size(); ++j) {
-    index[RowKey(right.rows[j], rcols)].push_back(j);
-  }
-  for (const auto& lrow : left.rows) {
-    const auto it = index.find(RowKey(lrow, lcols));
-    if (it == index.end()) continue;
-    for (const size_t j : it->second) {
-      std::vector<uint64_t> merged = lrow;
-      for (const size_t c : right_extra) merged.push_back(right.rows[j][c]);
-      out.rows.push_back(std::move(merged));
-    }
-  }
-  return out;
-}
-
-Coordinator::GlobalTable Coordinator::JoinGroups(
-    std::vector<GlobalTable> tables) const {
-  if (tables.empty()) return GlobalTable::Unit();
+BindingTable Coordinator::JoinGroups(std::vector<BindingTable> tables,
+                                     const sparql::ValueDecoder& decoder) const {
+  if (tables.empty()) return BindingTable::Unit();
   obs::ScopedSpan span(met_.join_seconds);
+  const auto connected = [](const BindingTable& a, const BindingTable& b) {
+    return std::any_of(b.vars.begin(), b.vars.end(),
+                       [&a](const Variable& v) { return a.IndexOf(v) >= 0; });
+  };
   // Greedy order: start from the smallest group, then always join in the
   // smallest *connected* remaining table (cartesian only as a last
   // resort) — the coordinator-side analogue of the shard optimizer's
@@ -548,118 +385,33 @@ Coordinator::GlobalTable Coordinator::JoinGroups(
   for (size_t i = 1; i < tables.size(); ++i) {
     if (tables[i].rows.size() < tables[first].rows.size()) first = i;
   }
-  GlobalTable acc = std::move(tables[first]);
+  BindingTable acc = std::move(tables[first]);
   tables.erase(tables.begin() + static_cast<ptrdiff_t>(first));
   while (!tables.empty()) {
     size_t best = 0;
     bool best_connected = false;
     bool have_best = false;
     for (size_t i = 0; i < tables.size(); ++i) {
-      const bool connected = !CommonVars(acc.vars, tables[i].vars).empty();
+      const bool is_connected = connected(acc, tables[i]);
       const bool better =
-          !have_best || (connected && !best_connected) ||
-          (connected == best_connected &&
+          !have_best || (is_connected && !best_connected) ||
+          (is_connected == best_connected &&
            tables[i].rows.size() < tables[best].rows.size());
       if (better) {
         best = i;
-        best_connected = connected;
+        best_connected = is_connected;
         have_best = true;
       }
     }
-    GlobalTable next = std::move(tables[best]);
+    BindingTable next = std::move(tables[best]);
     tables.erase(tables.begin() + static_cast<ptrdiff_t>(best));
-    acc = JoinPair(std::move(acc), std::move(next));
+    met_.join_hash_total->Increment();
+    acc = sparql::HashJoin(std::move(acc), std::move(next), decoder);
   }
   return acc;
 }
 
-Status Coordinator::ApplyResidual(sparql::GroupPattern residual,
-                                  const ShardPins& pins,
-                                  GlobalTable* table) const {
-  // UNION blocks: evaluate each alternative as its own distributed group,
-  // align columns, concatenate, then join onto the accumulated bindings —
-  // exactly Executor::EvaluateGroup's shape, over global ids.
-  for (sparql::UnionBlock& ub : residual.unions) {
-    GlobalTable combined;
-    for (sparql::GroupPattern& alt : ub.alternatives) {
-      SEDGE_ASSIGN_OR_RETURN(GlobalTable t,
-                             EvaluateGroupDist(std::move(alt), pins));
-      for (const Variable& v : t.vars) combined.AddVar(v);
-      for (auto& row : t.rows) {
-        std::vector<uint64_t> aligned(combined.vars.size(),
-                                      TermMap::kUnboundGid);
-        for (size_t c = 0; c < t.vars.size(); ++c) {
-          aligned[static_cast<size_t>(combined.IndexOf(t.vars[c]))] = row[c];
-        }
-        combined.rows.push_back(std::move(aligned));
-      }
-    }
-    *table = JoinPair(std::move(*table), std::move(combined));
-  }
-
-  GlobalDecoder decoder(&term_map_);
-  sparql::ExpressionEvaluator evaluator(&decoder);
-  const auto lookup_in = [table](const std::vector<uint64_t>& row) {
-    return [table, &row](const Variable& v) -> std::optional<EncodedTerm> {
-      const int c = table->IndexOf(v);
-      if (c < 0 || row[static_cast<size_t>(c)] == TermMap::kUnboundGid) {
-        return std::nullopt;
-      }
-      return EncodedTerm{ValueSpace::kInstance, row[static_cast<size_t>(c)]};
-    };
-  };
-
-  // BINDs always run at the coordinator (their outputs were never pushed).
-  for (const sparql::Bind& bind : residual.binds) {
-    const int col = table->AddVar(bind.var);
-    for (auto& row : table->rows) {
-      const sparql::EvalValue value = evaluator.Evaluate(*bind.expr,
-                                                         lookup_in(row));
-      uint64_t gid = TermMap::kUnboundGid;
-      switch (value.kind) {
-        case sparql::EvalValue::Kind::kError:
-          break;  // SPARQL: a failed BIND leaves the variable unbound
-        case sparql::EvalValue::Kind::kBool:
-          gid = term_map_.InternTerm(rdf::Term::Literal(
-              value.boolean ? "true" : "false", rdf::kXsdBoolean));
-          break;
-        case sparql::EvalValue::Kind::kNumber:
-          gid = term_map_.InternTerm(
-              rdf::Term::Literal(std::to_string(value.number),
-                                 rdf::kXsdDouble));
-          break;
-        case sparql::EvalValue::Kind::kString:
-          gid = term_map_.InternTerm(rdf::Term::Literal(value.string));
-          break;
-        case sparql::EvalValue::Kind::kEncoded:
-          if (value.encoded.space != ValueSpace::kUnbound) {
-            gid = value.encoded.id;  // already a global id
-          }
-          break;
-        case sparql::EvalValue::Kind::kTerm:
-          gid = term_map_.InternTerm(value.term);
-          break;
-      }
-      row[static_cast<size_t>(col)] = gid;
-    }
-  }
-
-  // Residual (unpushed) FILTERs, after BINDs — executor order.
-  for (const auto& filter : residual.filters) {
-    std::vector<std::vector<uint64_t>> kept;
-    kept.reserve(table->rows.size());
-    for (auto& row : table->rows) {
-      if (evaluator.EffectiveBool(*filter, lookup_in(row))) {
-        kept.push_back(std::move(row));
-      }
-    }
-    table->rows = std::move(kept);
-    table->sorted_by.clear();
-  }
-  return Status::OK();
-}
-
-Result<Coordinator::GlobalTable> Coordinator::EvaluateGroupDist(
+Result<BindingTable> Coordinator::EvaluateGroupDist(
     sparql::GroupPattern group, const ShardPins& pins) const {
   Decomposition dec =
       Decompose(std::move(group), partitioner_.colocates_subjects());
@@ -670,28 +422,32 @@ Result<Coordinator::GlobalTable> Coordinator::EvaluateGroupDist(
     met_.type_pushdowns_total->Add(g.type_patterns);
   }
 
-  std::vector<GlobalTable> tables;
+  std::vector<BindingTable> tables;
   tables.reserve(dec.groups.size());
   for (const ShardSubquery& g : dec.groups) {
-    SEDGE_ASSIGN_OR_RETURN(GlobalTable t, FanOutSubquery(g, pins));
+    SEDGE_ASSIGN_OR_RETURN(BindingTable t, FanOutSubquery(g, pins));
     tables.push_back(std::move(t));
   }
-  // Two-group decompositions ship both sides sorted on their common
-  // variables, arming JoinPair's merge path.
-  if (tables.size() == 2) {
-    const std::vector<Variable> common =
-        CommonVars(tables[0].vars, tables[1].vars);
-    if (!common.empty()) {
-      SortTableBy(&tables[0], common);
-      SortTableBy(&tables[1], common);
-    }
-  }
-  GlobalTable table = JoinGroups(std::move(tables));
-  SEDGE_RETURN_NOT_OK(ApplyResidual(std::move(dec.residual), pins, &table));
+  const GlobalDecoder decoder(&term_map_);
+  BindingTable table = JoinGroups(std::move(tables), decoder);
+
+  // The residual: each UNION alternative is a distributed group of its
+  // own (one more coordinator join per block); BIND values intern into
+  // the term map.
+  met_.join_hash_total->Add(dec.residual.unions.size());
+  const auto evaluate_alternative = [&](size_t block, size_t alt) {
+    return EvaluateGroupDist(
+        std::move(dec.residual.unions[block].alternatives[alt]), pins);
+  };
+  const auto encode = [this](rdf::Term term, std::optional<double>) {
+    return EncodedTerm{ValueSpace::kInstance, term_map_.InternTerm(term)};
+  };
+  SEDGE_RETURN_NOT_OK(sparql::FinishGroup(dec.residual, evaluate_alternative,
+                                          decoder, encode, &table));
   return table;
 }
 
-Result<Coordinator::GlobalTable> Coordinator::ExecuteDistributed(
+Result<BindingTable> Coordinator::ExecuteDistributed(
     sparql::Query query) const {
   const ShardPins pins = PinShards();
   uint64_t active = 0;
@@ -702,86 +458,35 @@ Result<Coordinator::GlobalTable> Coordinator::ExecuteDistributed(
   met_.fanout_shards->RecordValue(active);
 
   // Resolve SELECT * before the where-group is consumed below.
-  const std::vector<Variable> projected =
-      query.select.empty() ? query.MentionedVariables() : query.select;
-
-  SEDGE_ASSIGN_OR_RETURN(GlobalTable table,
+  if (query.select.empty()) query.select = query.MentionedVariables();
+  SEDGE_ASSIGN_OR_RETURN(BindingTable table,
                          EvaluateGroupDist(std::move(query.where), pins));
-
-  // Modifiers, mirroring Executor::ExecuteEncoded: project, dedupe,
-  // slice — in that order.
-  std::vector<int> cols;
-  cols.reserve(projected.size());
-  for (const Variable& v : projected) cols.push_back(table.IndexOf(v));
-  GlobalTable out;
-  out.vars = projected;
-  out.rows.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    std::vector<uint64_t> prow(cols.size(), TermMap::kUnboundGid);
-    for (size_t c = 0; c < cols.size(); ++c) {
-      if (cols[c] >= 0) prow[c] = row[static_cast<size_t>(cols[c])];
-    }
-    out.rows.push_back(std::move(prow));
-  }
-  if (query.distinct) {
-    std::set<std::vector<uint64_t>> seen;
-    std::vector<std::vector<uint64_t>> unique;
-    unique.reserve(out.rows.size());
-    for (auto& row : out.rows) {
-      if (seen.insert(row).second) unique.push_back(std::move(row));
-    }
-    out.rows = std::move(unique);
-  }
-  if (query.offset.has_value()) {
-    const size_t drop =
-        std::min<size_t>(static_cast<size_t>(*query.offset), out.rows.size());
-    out.rows.erase(out.rows.begin(),
-                   out.rows.begin() + static_cast<ptrdiff_t>(drop));
-  }
-  if (query.limit.has_value() && out.rows.size() > *query.limit) {
-    out.rows.resize(static_cast<size_t>(*query.limit));
-  }
+  table = sparql::ApplyModifiers(std::move(table), query,
+                                 GlobalDecoder(&term_map_));
 
   met_.queries_total->Increment();
   const double pushed =
       static_cast<double>(met_.pushed_join_edges_total->value());
   const double coordinated =
-      static_cast<double>(met_.join_hash_total->value()) +
-      static_cast<double>(met_.join_merge_total->value());
+      static_cast<double>(met_.join_hash_total->value());
   met_.pushdown_ratio->Set(pushed / std::max(1.0, pushed + coordinated));
   met_.term_map_terms->Set(static_cast<double>(term_map_.size()));
   met_.term_map_refreshes->Set(static_cast<double>(term_map_.refreshes()));
-  return out;
+  return table;
 }
 
 Result<sparql::QueryResult> Coordinator::Query(std::string_view sparql) const {
   obs::ScopedSpan span(met_.query_seconds);
   SEDGE_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql));
-  SEDGE_ASSIGN_OR_RETURN(GlobalTable table,
+  SEDGE_ASSIGN_OR_RETURN(BindingTable table,
                          ExecuteDistributed(std::move(query)));
-  sparql::QueryResult result;
-  result.var_names.reserve(table.vars.size());
-  for (const Variable& v : table.vars) result.var_names.push_back(v.name);
-  result.rows.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    std::vector<std::optional<rdf::Term>> decoded;
-    decoded.reserve(row.size());
-    for (const uint64_t gid : row) {
-      if (gid == TermMap::kUnboundGid) {
-        decoded.emplace_back(std::nullopt);
-      } else {
-        decoded.emplace_back(term_map_.TermOf(gid));
-      }
-    }
-    result.rows.push_back(std::move(decoded));
-  }
-  return result;
+  return sparql::DecodeTable(table, GlobalDecoder(&term_map_));
 }
 
 Result<uint64_t> Coordinator::QueryCount(std::string_view sparql) const {
   obs::ScopedSpan span(met_.query_seconds);
   SEDGE_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql));
-  SEDGE_ASSIGN_OR_RETURN(GlobalTable table,
+  SEDGE_ASSIGN_OR_RETURN(BindingTable table,
                          ExecuteDistributed(std::move(query)));
   return static_cast<uint64_t>(table.rows.size());
 }

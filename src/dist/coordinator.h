@@ -11,12 +11,12 @@
 //           routing and subsumption inference run *on the shard*, in the
 //           shard's id space)
 //         → reconcile partial bindings into the global id space
-//           (dist/term_map; refreshed per shard re-encode epoch)
-//         → join the groups' binding sets at the coordinator — hash join
-//           by default, merge join when both inputs arrive sorted on the
-//           join variables (two-group decompositions ship sorted)
+//           (dist/term_map; refreshed per shard re-encode epoch): each
+//           cell becomes {kInstance, global id}
+//         → hash-join the groups' binding sets at the coordinator
 //         → evaluate the residual (UNIONs, BINDs, unpushed FILTERs) and
-//           the modifiers over global ids.
+//           the modifiers through sparql/operators.h, the executor's own
+//           operator code, over global ids.
 //
 // Queries pin one frozen StoreGeneration per shard up front — the pin
 // set is taken under the coordinator's writer lock so a multi-shard
@@ -54,6 +54,7 @@
 #include "rdf/triple.h"
 #include "sparql/ast.h"
 #include "sparql/executor.h"
+#include "sparql/expression.h"
 #include "sparql/result_table.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -161,24 +162,9 @@ class Coordinator {
   uint64_t content_version() const { return version_.load(); }
 
   /// Coordinator-level dist_* metrics (fan-out, pushdown ratio, join
-  /// path counters, skew gauges). Shard engine metrics live in each
-  /// shard's own Database::metrics().
+  /// counters, skew gauges). Shard engine metrics live in each shard's
+  /// own Database::metrics().
   obs::MetricsRegistry& metrics() const { return metrics_; }
-
-  /// Global-id binding table (the coordinator-side mirror of
-  /// sparql::BindingTable). Rows hold TermMap global ids;
-  /// TermMap::kUnboundGid marks absent bindings.
-  struct GlobalTable {
-    std::vector<sparql::Variable> vars;
-    std::vector<std::vector<uint64_t>> rows;
-    /// Non-empty: rows are sorted lexicographically by these leading
-    /// variables (merge-join eligibility marker).
-    std::vector<sparql::Variable> sorted_by;
-
-    int IndexOf(const sparql::Variable& v) const;
-    int AddVar(const sparql::Variable& v);
-    static GlobalTable Unit();
-  };
 
  private:
   /// One per-query consistent view: every shard's pinned generation
@@ -188,19 +174,15 @@ class Coordinator {
 
   class GlobalDecoder;  // sparql::ValueDecoder over the term map
 
-  Result<GlobalTable> EvaluateGroupDist(sparql::GroupPattern group,
-                                        const ShardPins& pins) const;
+  Result<sparql::BindingTable> EvaluateGroupDist(sparql::GroupPattern group,
+                                                 const ShardPins& pins) const;
   /// Runs one decomposed subquery on every shard, reconciles ids, and
   /// unions the per-shard results (deduplicated under a cloud shard).
-  Result<GlobalTable> FanOutSubquery(const ShardSubquery& sub,
-                                     const ShardPins& pins) const;
-  GlobalTable JoinGroups(std::vector<GlobalTable> tables) const;
-  /// Joins two binding tables: merge join when both arrive sorted on
-  /// exactly their common variables, hash join otherwise.
-  GlobalTable JoinPair(GlobalTable left, GlobalTable right) const;
-  Status ApplyResidual(sparql::GroupPattern residual, const ShardPins& pins,
-                       GlobalTable* table) const;
-  Result<GlobalTable> ExecuteDistributed(sparql::Query query) const;
+  Result<sparql::BindingTable> FanOutSubquery(const ShardSubquery& sub,
+                                              const ShardPins& pins) const;
+  sparql::BindingTable JoinGroups(std::vector<sparql::BindingTable> tables,
+                                  const sparql::ValueDecoder& decoder) const;
+  Result<sparql::BindingTable> ExecuteDistributed(sparql::Query query) const;
 
   ShardPins PinShards() const SEDGE_EXCLUDES(write_mu_);
   void UpdateSkewGaugesLocked() SEDGE_REQUIRES(write_mu_);
@@ -227,7 +209,6 @@ class Coordinator {
     obs::Counter* pushed_filters_total;
     obs::Counter* type_pushdowns_total;    // rdf:type patterns on-shard
     obs::Counter* join_hash_total;
-    obs::Counter* join_merge_total;
     obs::Counter* union_dedup_rows_total;  // cloud-shard duplicate rows cut
     obs::Counter* inserts_routed_total;
     obs::Counter* removes_routed_total;

@@ -61,7 +61,6 @@ rdf::Term TermMap::TermOf(uint64_t gid) const {
 uint64_t TermMap::MapShardValue(int shard, uint64_t shard_generation,
                                 const store::TripleStore& store,
                                 const EncodedTerm& value) {
-  if (value.space == ValueSpace::kUnbound) return kUnboundGid;
   const auto space = static_cast<size_t>(value.space);
   SEDGE_CHECK(space < kNumSpaces);
   {

@@ -44,9 +44,6 @@ namespace sedge::dist {
 /// \brief Global term dictionary + per-shard id reconciliation caches.
 class TermMap {
  public:
-  /// Global id of an absent binding (UNION alignment holes).
-  static constexpr uint64_t kUnboundGid = ~0ull;
-
   explicit TermMap(int num_shards);
 
   /// Interns `term`, returning its global id (stable for the map's
@@ -54,14 +51,14 @@ class TermMap {
   uint64_t InternTerm(const rdf::Term& term) SEDGE_EXCLUDES(mu_);
 
   /// Decodes a global id back to its term. Precondition: `gid` was
-  /// returned by InternTerm/MapShardValue and is not kUnboundGid.
+  /// returned by InternTerm/MapShardValue.
   rdf::Term TermOf(uint64_t gid) const SEDGE_EXCLUDES(mu_);
 
   /// Maps one shard-local binding value to a global id, decoding through
   /// `store` (the pinned snapshot the value came from) on cache misses.
   /// `shard_generation` is that snapshot's StoreGeneration::number(); a
   /// newer number than the cached one refreshes (clears) the shard's
-  /// cache — the re-encode epoch protocol. kUnbound maps to kUnboundGid.
+  /// cache — the re-encode epoch protocol. `value` must be bound.
   uint64_t MapShardValue(int shard, uint64_t shard_generation,
                          const store::TripleStore& store,
                          const store::EncodedTerm& value)

@@ -1,10 +1,9 @@
 #include "sparql/executor.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "rdf/vocabulary.h"
+#include "sparql/operators.h"
 #include "sparql/optimizer.h"
 #include "util/logging.h"
 
@@ -154,16 +153,6 @@ class Executor::Estimator : public CardinalityEstimator {
 
 // ---------------------------------------------------------------- Executor
 
-Executor::Executor(const store::TripleStore* store)
-    : Executor(store, Options()) {}
-
-Executor::Executor(const store::TripleStore* store, Options options)
-    : store_(store), options_(options) {
-  decoder_ = std::make_unique<Decoder>(store_, &computed_pool_,
-                                       &computed_numeric_);
-  evaluator_ = std::make_unique<ExpressionEvaluator>(decoder_.get());
-}
-
 Executor::Executor(std::shared_ptr<const store::StoreGeneration> snapshot,
                    Options options)
     : snapshot_(std::move(snapshot)),
@@ -171,7 +160,6 @@ Executor::Executor(std::shared_ptr<const store::StoreGeneration> snapshot,
       options_(options) {
   decoder_ = std::make_unique<Decoder>(store_, &computed_pool_,
                                        &computed_numeric_);
-  evaluator_ = std::make_unique<ExpressionEvaluator>(decoder_.get());
 }
 
 Executor::~Executor() = default;
@@ -189,75 +177,12 @@ std::vector<size_t> Executor::PlanOrder(
 
 Result<BindingTable> Executor::ExecuteEncoded(const Query& query) {
   SEDGE_ASSIGN_OR_RETURN(BindingTable table, EvaluateGroup(query.where));
-
-  // Projection.
-  std::vector<Variable> projected = query.select;
-  if (projected.empty()) projected = query.MentionedVariables();
-  BindingTable out;
-  out.vars = projected;
-  std::vector<int> cols;
-  cols.reserve(projected.size());
-  for (const Variable& v : projected) cols.push_back(table.IndexOf(v));
-  out.rows.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    std::vector<EncodedTerm> projected_row;
-    projected_row.reserve(cols.size());
-    for (const int c : cols) {
-      projected_row.push_back(c >= 0 ? row[c] : kUnboundValue);
-    }
-    out.rows.push_back(std::move(projected_row));
-  }
-
-  if (query.distinct) {
-    std::set<std::string> seen;
-    std::vector<std::vector<EncodedTerm>> unique_rows;
-    for (auto& row : out.rows) {
-      std::string key;
-      for (const EncodedTerm& v : row) {
-        key += CanonicalKey(v);
-        key += '\x1f';
-      }
-      if (seen.insert(std::move(key)).second) {
-        unique_rows.push_back(std::move(row));
-      }
-    }
-    out.rows = std::move(unique_rows);
-  }
-
-  const uint64_t offset = query.offset.value_or(0);
-  if (offset > 0) {
-    if (offset >= out.rows.size()) {
-      out.rows.clear();
-    } else {
-      out.rows.erase(out.rows.begin(),
-                     out.rows.begin() + static_cast<ptrdiff_t>(offset));
-    }
-  }
-  if (query.limit && out.rows.size() > *query.limit) {
-    out.rows.resize(*query.limit);
-  }
-  return out;
+  return ApplyModifiers(std::move(table), query, *decoder_);
 }
 
 Result<QueryResult> Executor::Execute(const Query& query) {
   SEDGE_ASSIGN_OR_RETURN(BindingTable table, ExecuteEncoded(query));
-  QueryResult result;
-  result.var_names.reserve(table.vars.size());
-  for (const Variable& v : table.vars) result.var_names.push_back(v.name);
-  result.rows.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    std::vector<std::optional<rdf::Term>> decoded;
-    decoded.reserve(row.size());
-    for (const EncodedTerm& v : row) {
-      if (IsUnbound(v)) {
-        decoded.push_back(std::nullopt);
-      } else {
-        decoded.push_back(decoder_->Decode(v));
-      }
-    }
-    result.rows.push_back(std::move(decoded));
-  }
-  return result;
+  return DecodeTable(table, *decoder_);
 }
 
 Result<BindingTable> Executor::EvaluateGroup(const GroupPattern& group) {
@@ -265,35 +190,16 @@ Result<BindingTable> Executor::EvaluateGroup(const GroupPattern& group) {
   if (!group.triples.empty()) {
     SEDGE_ASSIGN_OR_RETURN(table, EvaluateBgp(group.triples));
   }
-  for (const UnionBlock& block : group.unions) {
-    BindingTable combined;
-    bool first = true;
-    for (const GroupPattern& alt : block.alternatives) {
-      SEDGE_ASSIGN_OR_RETURN(BindingTable alt_table, EvaluateGroup(alt));
-      if (first) {
-        combined = std::move(alt_table);
-        first = false;
-        continue;
-      }
-      // Align columns and concatenate.
-      for (const Variable& v : alt_table.vars) combined.AddVar(v);
-      for (const auto& row : alt_table.rows) {
-        std::vector<EncodedTerm> aligned(combined.vars.size(), kUnboundValue);
-        for (size_t i = 0; i < alt_table.vars.size(); ++i) {
-          aligned[static_cast<size_t>(combined.IndexOf(alt_table.vars[i]))] =
-              row[i];
-        }
-        combined.rows.push_back(std::move(aligned));
-      }
-    }
-    table = JoinTables(std::move(table), std::move(combined));
-  }
-  for (const Bind& bind : group.binds) {
-    SEDGE_RETURN_NOT_OK(ApplyBind(bind, &table));
-  }
-  for (const auto& filter : group.filters) {
-    ApplyFilter(*filter, &table);
-  }
+  const auto evaluate_alternative = [&](size_t block, size_t alt) {
+    return EvaluateGroup(group.unions[block].alternatives[alt]);
+  };
+  const auto encode = [this](rdf::Term term, std::optional<double> numeric) {
+    // Known instances keep their id, so downstream joins stay id-based.
+    if (const auto inst = store_->EncodeInstance(term)) return *inst;
+    return InternComputed(std::move(term), numeric);
+  };
+  SEDGE_RETURN_NOT_OK(
+      FinishGroup(group, evaluate_alternative, *decoder_, encode, &table));
   return table;
 }
 
@@ -967,143 +873,11 @@ bool Executor::TryMergeJoinExtend(const TriplePattern& tp,
   return true;
 }
 
-Status Executor::ApplyBind(const Bind& bind, BindingTable* table) {
-  const int col = table->AddVar(bind.var);
-  for (auto& row : table->rows) {
-    const auto lookup =
-        [&](const Variable& v) -> std::optional<EncodedTerm> {
-      const int c = table->IndexOf(v);
-      if (c < 0 || IsUnbound(row[c])) return std::nullopt;
-      return row[c];
-    };
-    const EvalValue value = evaluator_->Evaluate(*bind.expr, lookup);
-    switch (value.kind) {
-      case EvalValue::Kind::kError:
-        row[col] = kUnboundValue;
-        break;
-      case EvalValue::Kind::kEncoded:
-        row[col] = value.encoded;
-        break;
-      case EvalValue::Kind::kBool:
-        row[col] = InternComputed(
-            rdf::Term::Literal(value.boolean ? "true" : "false",
-                               rdf::kXsdBoolean),
-            value.boolean ? 1.0 : 0.0);
-        break;
-      case EvalValue::Kind::kNumber: {
-        std::string lexical = std::to_string(value.number);
-        row[col] = InternComputed(
-            rdf::Term::Literal(std::move(lexical), rdf::kXsdDouble),
-            value.number);
-        break;
-      }
-      case EvalValue::Kind::kString:
-        row[col] = InternComputed(rdf::Term::Literal(value.string),
-                                  std::nullopt);
-        break;
-      case EvalValue::Kind::kTerm: {
-        // Re-encode known instances so downstream joins stay id-based.
-        if (const auto inst = store_->EncodeInstance(value.term)) {
-          row[col] = *inst;
-        } else {
-          std::optional<double> numeric;
-          if (value.term.IsNumericLiteral()) numeric = value.term.AsDouble();
-          row[col] = InternComputed(value.term, numeric);
-        }
-        break;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-void Executor::ApplyFilter(const Expr& filter, BindingTable* table) {
-  std::vector<std::vector<EncodedTerm>> kept;
-  kept.reserve(table->rows.size());
-  for (auto& row : table->rows) {
-    const auto lookup =
-        [&](const Variable& v) -> std::optional<EncodedTerm> {
-      const int c = table->IndexOf(v);
-      if (c < 0 || IsUnbound(row[c])) return std::nullopt;
-      return row[c];
-    };
-    if (evaluator_->EffectiveBool(filter, lookup)) {
-      kept.push_back(std::move(row));
-    }
-  }
-  table->rows = std::move(kept);
-}
-
-BindingTable Executor::JoinTables(BindingTable left,
-                                  BindingTable right) const {
-  // Shared variables.
-  std::vector<std::pair<int, int>> shared;  // (left col, right col)
-  for (size_t i = 0; i < left.vars.size(); ++i) {
-    const int rc = right.IndexOf(left.vars[i]);
-    if (rc >= 0) shared.push_back({static_cast<int>(i), rc});
-  }
-  BindingTable out;
-  out.vars = left.vars;
-  std::vector<int> right_extra;  // right columns not shared
-  for (size_t i = 0; i < right.vars.size(); ++i) {
-    bool is_shared = false;
-    for (const auto& [lc, rc] : shared) {
-      if (rc == static_cast<int>(i)) is_shared = true;
-    }
-    if (!is_shared) {
-      right_extra.push_back(static_cast<int>(i));
-      out.vars.push_back(right.vars[i]);
-    }
-  }
-
-  // Hash the right side on the shared-variable key.
-  const auto key_of = [&](const std::vector<EncodedTerm>& row,
-                          bool is_left) {
-    std::string key;
-    for (const auto& [lc, rc] : shared) {
-      key += CanonicalKey(row[is_left ? lc : rc]);
-      key += '\x1f';
-    }
-    return key;
-  };
-  std::map<std::string, std::vector<size_t>> right_index;
-  for (size_t i = 0; i < right.rows.size(); ++i) {
-    right_index[key_of(right.rows[i], false)].push_back(i);
-  }
-  for (const auto& lrow : left.rows) {
-    const auto it = right_index.find(key_of(lrow, true));
-    if (it == right_index.end()) continue;
-    for (const size_t ri : it->second) {
-      std::vector<EncodedTerm> merged = lrow;
-      for (const int rc : right_extra) {
-        merged.push_back(right.rows[ri][rc]);
-      }
-      out.rows.push_back(std::move(merged));
-    }
-  }
-  return out;
-}
-
 store::EncodedTerm Executor::InternComputed(rdf::Term term,
                                             std::optional<double> numeric) {
   computed_pool_.push_back(std::move(term));
   computed_numeric_.push_back(numeric);
   return {ValueSpace::kComputed, computed_pool_.size() - 1};
-}
-
-std::string Executor::CanonicalKey(const store::EncodedTerm& v) const {
-  switch (v.space) {
-    case ValueSpace::kLiteral:
-    case ValueSpace::kComputed: {
-      const rdf::Term t = decoder_->Decode(v);
-      return "L:" + t.ToNTriples();
-    }
-    case ValueSpace::kUnbound:
-      return "U";
-    default:
-      return std::to_string(static_cast<int>(v.space)) + ":" +
-             std::to_string(v.id);
-  }
 }
 
 }  // namespace sedge::sparql

@@ -21,18 +21,21 @@
 // reasoning and merge join are switchable — the ablation benches
 // quantify each — and ExecutorStats counts which path served each TP
 // extension.
+//
+// What follows a group's triple patterns (UNION, BIND, FILTER) and the
+// solution modifiers run through sparql/operators.h, the same code
+// dist::Coordinator runs over global ids. An executor always reads one
+// pinned StoreGeneration.
 
 #ifndef SEDGE_SPARQL_EXECUTOR_H_
 #define SEDGE_SPARQL_EXECUTOR_H_
 
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "obs/query_profile.h"
 #include "sparql/ast.h"
-#include "sparql/expression.h"
 #include "sparql/result_table.h"
 #include "store/store_generation.h"
 #include "store/triple_store.h"
@@ -65,15 +68,9 @@ class Executor {
     bool use_optimizer = true;  // Algorithm 1 ordering (false: textual order)
   };
 
-  /// Constructs with default options (reasoning, merge join and the
-  /// optimizer all enabled). The caller must keep `store` alive for the
-  /// executor's lifetime — bench/test convenience; concurrent deployments
-  /// use the snapshot-pinning constructor below.
-  explicit Executor(const store::TripleStore* store);
-  Executor(const store::TripleStore* store, Options options);
-  /// Pins `snapshot` for the executor's lifetime, so a concurrent
-  /// generation swap (background compaction) can never free the store
-  /// underneath a running query.
+  /// Pins `snapshot` (non-null) for the executor's lifetime, so a
+  /// concurrent generation swap (background compaction) can never free
+  /// the store underneath a running query.
   Executor(std::shared_ptr<const store::StoreGeneration> snapshot,
            Options options);
   ~Executor();
@@ -133,20 +130,11 @@ class Executor {
   bool TryMergeJoinExtend(const TriplePattern& tp,
                           const std::vector<PredRoute>& routes,
                           BindingTable* table);
-  Status ApplyBind(const Bind& bind, BindingTable* table);
-  void ApplyFilter(const Expr& filter, BindingTable* table);
-  BindingTable JoinTables(BindingTable left, BindingTable right) const;
-
   store::EncodedTerm InternComputed(rdf::Term term,
                                     std::optional<double> numeric);
-  // Canonical join/dedup key for one value (literals canonicalize by
-  // content, since the flat pool may store equal literals at distinct
-  // positions).
-  std::string CanonicalKey(const store::EncodedTerm& v) const;
 
-  // Pinned generation (null in the raw-pointer construction modes);
-  // store_ aliases it when set.
   std::shared_ptr<const store::StoreGeneration> snapshot_;
+  // Aliases snapshot_'s store.
   const store::TripleStore* store_;
   Options options_;
   ExecutorStats stats_;
@@ -154,7 +142,6 @@ class Executor {
   obs::ProfileNode* profile_ = nullptr;
   obs::ProfileNode* tp_node_ = nullptr;  // current pattern's span, if traced
   std::unique_ptr<Decoder> decoder_;
-  std::unique_ptr<ExpressionEvaluator> evaluator_;
   std::vector<rdf::Term> computed_pool_;
   std::vector<std::optional<double>> computed_numeric_;
 };

@@ -140,7 +140,7 @@ TEST_F(BaselineSuite, UnionRewritingReproducesReasoningAnswers) {
     auto parsed = sparql::ParseQuery(spec.sparql);
     ASSERT_TRUE(parsed.ok()) << spec.id;
     parsed.value().distinct = true;
-    sparql::Executor native(&db_->store());
+    sparql::Executor native(db_->snapshot(), sparql::Executor::Options());
     const auto expected = native.ExecuteEncoded(parsed.value());
     ASSERT_TRUE(expected.ok()) << spec.id;
     auto rewritten = sparql::RewriteWithUnions(parsed.value(), *onto_);

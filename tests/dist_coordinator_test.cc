@@ -84,9 +84,10 @@ rdf::Graph SmallGraph() {
 }
 
 /// Query mix: single star, two-star coordinator join, type scan, pushed
-/// filter, UNION, BIND, DISTINCT, constant subject, cross-group filter.
-/// No LIMIT/OFFSET — those are row-order dependent, covered by count
-/// checks elsewhere.
+/// filter, UNION, BIND, DISTINCT, constant subject, cross-group filter,
+/// and joins on a shared literal (the executor keys them by literal
+/// content, the coordinator by interned global id). No LIMIT/OFFSET —
+/// those are row-order dependent, covered by count checks elsewhere.
 std::vector<std::string> QueryMix() {
   return {
       "SELECT ?p ?n ?o WHERE { ?p <http://ex.org/name> ?n . "
@@ -105,6 +106,13 @@ std::vector<std::string> QueryMix() {
       "?x <http://ex.org/worksAt> ?o }",
       "SELECT ?p ?q WHERE { ?p <http://ex.org/age> ?a . "
       "?q <http://ex.org/age> ?b . FILTER(?a < ?b) }",
+      "SELECT ?p ?q WHERE { ?p <http://ex.org/age> ?a . "
+      "?q <http://ex.org/age> ?a }",
+      "SELECT ?p ?q WHERE { ?p <http://ex.org/age> ?a . "
+      "{ ?q <http://ex.org/age> ?a } UNION { ?q <http://ex.org/name> ?a } }",
+      "SELECT ?p ?q ?b WHERE { ?p <http://ex.org/age> ?a . "
+      "{ ?q <http://ex.org/age> ?a . BIND(?a + 1 AS ?b) } UNION "
+      "{ ?q <http://ex.org/name> ?a } }",
   };
 }
 
@@ -442,9 +450,7 @@ TEST(Coordinator, DistMetricsExposePushdownAndFanout) {
   EXPECT_EQ(m.FindCounter("dist_subqueries_total")->value(), 4u);
   EXPECT_EQ(m.FindCounter("dist_patterns_total")->value(), 3u);
   EXPECT_EQ(m.FindCounter("dist_pushed_join_edges_total")->value(), 1u);
-  EXPECT_EQ(m.FindCounter("dist_join_hash_total")->value() +
-                m.FindCounter("dist_join_merge_total")->value(),
-            1u);
+  EXPECT_EQ(m.FindCounter("dist_join_hash_total")->value(), 1u);
   EXPECT_GT(m.FindGauge("dist_pushdown_ratio")->value(), 0.0);
   EXPECT_EQ(m.FindGauge("dist_shards")->value(), 2.0);
   EXPECT_GT(m.FindGauge("dist_term_map_terms")->value(), 0.0);

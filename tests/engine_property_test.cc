@@ -38,28 +38,33 @@ std::string Iri(const std::string& kind, uint64_t i) {
   return "http://e.org/" + kind + std::to_string(i);
 }
 
+/// Random graph: object triples, datatype triples (plain literals "0" to
+/// "19" on dp0..dp2) and rdf:type triples.
+rdf::Graph RandomGraph(const PropertyParam& param, Rng* rng) {
+  rdf::Graph graph;
+  for (int i = 0; i < param.num_triples; ++i) {
+    const std::string s = Iri("s", rng->Uniform(param.num_subjects));
+    const uint64_t kind = rng->Uniform(4);
+    if (kind == 0) {
+      graph.Add(rdf::Term::Iri(s), rdf::Term::Iri(rdf::kRdfType),
+                rdf::Term::Iri(Iri("C", rng->Uniform(6))));
+    } else if (kind == 1) {
+      graph.Add(rdf::Term::Iri(s),
+                rdf::Term::Iri(Iri("dp", rng->Uniform(3))),
+                rdf::Term::Literal(std::to_string(rng->Uniform(20))));
+    } else {
+      graph.Add(rdf::Term::Iri(s),
+                rdf::Term::Iri(Iri("p", rng->Uniform(param.num_predicates))),
+                rdf::Term::Iri(Iri("o", rng->Uniform(param.num_objects))));
+    }
+  }
+  return graph;
+}
+
 TEST_P(EngineAgreement, RandomBgpQueriesAgree) {
   const auto param = GetParam();
   Rng rng(param.seed);
-
-  // Random graph: object triples, datatype triples and rdf:type triples.
-  rdf::Graph graph;
-  for (int i = 0; i < param.num_triples; ++i) {
-    const std::string s = Iri("s", rng.Uniform(param.num_subjects));
-    const uint64_t kind = rng.Uniform(4);
-    if (kind == 0) {
-      graph.Add(rdf::Term::Iri(s), rdf::Term::Iri(rdf::kRdfType),
-                rdf::Term::Iri(Iri("C", rng.Uniform(6))));
-    } else if (kind == 1) {
-      graph.Add(rdf::Term::Iri(s),
-                rdf::Term::Iri(Iri("dp", rng.Uniform(3))),
-                rdf::Term::Literal(std::to_string(rng.Uniform(20))));
-    } else {
-      graph.Add(rdf::Term::Iri(s),
-                rdf::Term::Iri(Iri("p", rng.Uniform(param.num_predicates))),
-                rdf::Term::Iri(Iri("o", rng.Uniform(param.num_objects))));
-    }
-  }
+  const rdf::Graph graph = RandomGraph(param, &rng);
 
   Database db;  // empty ontology: no reasoning effects to worry about
   ASSERT_TRUE(db.LoadData(graph).ok());
@@ -103,6 +108,110 @@ TEST_P(EngineAgreement, RandomBgpQueriesAgree) {
       where += s + " " + p + " " + o + " . ";
     }
     const std::string sparql = "SELECT * WHERE { " + where + "}";
+    auto parsed = sparql::ParseQuery(sparql);
+    ASSERT_TRUE(parsed.ok()) << sparql;
+
+    const auto expected = reference_engine.ExecuteCount(parsed.value());
+    ASSERT_TRUE(expected.ok()) << sparql;
+    const auto got = db.QueryCount(sparql);
+    ASSERT_TRUE(got.ok()) << sparql << ": " << got.status().ToString();
+    ASSERT_EQ(got.value(), expected.value()) << "disagreement on: " << sparql;
+  }
+}
+
+// The operators after the basic graph pattern — UNION alignment and join,
+// BIND, FILTER, DISTINCT — are shared by the executor and the shard
+// coordinator, so the dist oracle grid cannot catch a bug in them. The
+// baseline engine keeps its own copy; these trials wrap random patterns
+// in each operator and compare solution counts with it. Every shape
+// anchors on `?v0 <dpK> ?l`, so ?l is a literal. A random pattern shares
+// its subject with the anchor or sits in a UNION joined on ?l, so no
+// shape is a cartesian product.
+TEST_P(EngineAgreement, RandomOperatorShapesAgree) {
+  const auto param = GetParam();
+  Rng rng(param.seed);
+  const rdf::Graph graph = RandomGraph(param, &rng);
+
+  Database db;
+  ASSERT_TRUE(db.LoadData(graph).ok());
+  db.set_reasoning(false);
+  baselines::Rdf4jLikeStore reference;
+  ASSERT_TRUE(reference.Build(graph).ok());
+  baselines::BaselineEngine reference_engine(&reference);
+
+  const auto dp = [&]() { return "<" + Iri("dp", rng.Uniform(3)) + "> "; };
+  // One random pattern on `subject`; a variable object is ?v2, recorded
+  // in `vars`.
+  const auto random_pattern = [&](const std::string& subject,
+                                  std::vector<std::string>* vars) {
+    const bool var_object = rng.Bernoulli(0.5);
+    std::string p;
+    std::string o;
+    switch (rng.Uniform(3)) {
+      case 0:
+        p = "<" + std::string(rdf::kRdfType) + ">";
+        o = "<" + Iri("C", rng.Uniform(6)) + ">";
+        break;
+      case 1:
+        p = "<" + Iri("dp", rng.Uniform(3)) + ">";
+        o = "\"" + std::to_string(rng.Uniform(20)) + "\"";
+        break;
+      default:
+        p = "<" + Iri("p", rng.Uniform(param.num_predicates)) + ">";
+        o = "<" + Iri("o", rng.Uniform(param.num_objects)) + ">";
+        break;
+    }
+    if (var_object) {
+      o = "?v2";
+      vars->push_back("?v2");
+    }
+    return subject + " " + p + " " + o + " . ";
+  };
+  const auto numeric_filter = [&](const std::string& var) {
+    static const char* const kOps[] = {"<", "<=", ">", ">=", "=", "!="};
+    return "FILTER(" + var + " " + kOps[rng.Uniform(6)] + " " +
+           std::to_string(rng.Uniform(21)) + ") ";
+  };
+  // SELECT DISTINCT over one or two of `vars`.
+  const auto distinct_select = [&](const std::vector<std::string>& vars) {
+    std::string select = "SELECT DISTINCT " + vars[rng.Uniform(vars.size())];
+    if (rng.Bernoulli(0.5)) select += " " + vars[rng.Uniform(vars.size())];
+    return select;
+  };
+
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<std::string> vars = {"?v0", "?l"};
+    const std::string anchor = "?v0 " + dp() + "?l . ";
+    std::string sparql;
+    switch (trial % 5) {
+      case 0: {  // {A} UNION {B}, joined to the anchor on the literal ?l
+        std::vector<std::string> alt_vars;
+        sparql = "SELECT * WHERE { " + anchor + "{ ?v1 " + dp() + "?l . " +
+                 random_pattern("?v1", &alt_vars) + "} UNION { ?v1 " + dp() +
+                 "?l } }";
+        break;
+      }
+      case 1:  // numeric FILTER on the literal
+        sparql = "SELECT * WHERE { " + anchor + random_pattern("?v0", &vars) +
+                 numeric_filter("?l") + "}";
+        break;
+      case 2:  // BIND, then a FILTER on what it bound
+        sparql = "SELECT * WHERE { " + anchor + random_pattern("?v0", &vars) +
+                 "BIND(?l + 1 AS ?x) . " + numeric_filter("?x") + "}";
+        break;
+      case 3: {  // DISTINCT over one or two columns
+        const std::string where = anchor + random_pattern("?v0", &vars);
+        sparql = distinct_select(vars) + " WHERE { " + where + "}";
+        break;
+      }
+      default: {  // DISTINCT over a UNION
+        const std::string alt_a = anchor + random_pattern("?v0", &vars);
+        const std::string alt_b = "?v0 " + dp() + "?l . ";
+        sparql = distinct_select(vars) + " WHERE { { " + alt_a +
+                 "} UNION { " + alt_b + "} }";
+        break;
+      }
+    }
     auto parsed = sparql::ParseQuery(sparql);
     ASSERT_TRUE(parsed.ok()) << sparql;
 
